@@ -432,15 +432,17 @@ void perfbench::runEqSatWorkload(const Settings &S, Result &R) {
   // Set-up: generate the terms and declare datatype, rules and seeds.
   std::vector<double> SetupTimes;
   Inputs In;
-  for (int Rep = 0; Rep < SetupRepeats; ++Rep) {
+  auto SetUp = [&] {
     double T0 = nowSeconds();
     In = makeInputs(S.Seed);
     Frontend F;
     bool Declared = F.execute(MathProgram) && F.execute(In.Definitions);
     SetupTimes.push_back(nowSeconds() - T0);
-    if (!R.check(Declared, "math program failed to load: " + F.error()))
+    return R.check(Declared, "math program failed to load: " + F.error());
+  };
+  for (int Rep = 0; Rep < SetupRepeats; ++Rep)
+    if (!SetUp())
       return;
-  }
   std::string SnapPath = S.ScratchDir + "/eqsat.snapshot";
 
   double Start = nowSeconds();
@@ -451,25 +453,23 @@ void perfbench::runEqSatWorkload(const Settings &S, Result &R) {
     R.check(T.Hash == Hash, "content hash changed between rounds");
   };
   if (!S.Trace) {
-    std::vector<double> Rewrite, Extract, Save, Load, SnapMB;
-    while (Rewrite.empty() || nowSeconds() - Start < S.Seconds) {
+    std::vector<double> Totals;
+    double SnapMB = 0;
+    while (Totals.empty() || nowSeconds() - Start < S.Seconds) {
+      for (int Rep = 0; Rep < SetupPerRound; ++Rep)
+        SetUp();
       RoundTimes T = runRound(In, SnapPath, R, nullptr, nullptr);
       SameHash(T);
-      Rewrite.push_back(T.Rewrite);
-      Extract.push_back(T.Extract);
-      Save.push_back(T.Save);
-      Load.push_back(T.Load);
-      SnapMB.push_back(T.SnapshotMB);
+      Totals.push_back(T.Rewrite + T.Extract + T.Save + T.Load);
+      SnapMB = T.SnapshotMB;
     }
     R.metric("setup_s", median(SetupTimes), "s");
-    R.metric("rewrite_s", median(Rewrite), "s");
-    R.metric("extract_s", median(Extract), "s");
-    R.metric("save_s", median(Save), "s");
-    R.metric("load_s", median(Load), "s");
-    R.metric("snapshot_mb", median(SnapMB), "MB");
+    R.metric("total_s", median(Totals), "s");
     R.metric("max_rss_mb", processUsage().MaxRssMB, "MB");
-    std::fprintf(stderr, "perfbench: %zu rounds, %u terms of depth %u\n",
-                 Rewrite.size(), NumTerms, TermDepth);
+    std::fprintf(stderr,
+                 "perfbench: %zu rounds, %u terms of depth %u, "
+                 "%.3f MB snapshot\n",
+                 Totals.size(), NumTerms, TermDepth, SnapMB);
     return;
   }
 
@@ -480,8 +480,12 @@ void perfbench::runEqSatWorkload(const Settings &S, Result &R) {
   int Rounds = 0;
   while (Rounds == 0 || nowSeconds() - Start < S.Seconds) {
     double U0 = nowSeconds();
-    SameHash(runRound(In, SnapPath, R, nullptr, nullptr));
+    RoundTimes U = runRound(In, SnapPath, R, nullptr, nullptr);
     double Untraced = nowSeconds() - U0;
+    SameHash(U);
+    R.add("snapshot.save_s", U.Save, "s");
+    R.add("snapshot.load_s", U.Load, "s");
+    R.add("snapshot.mb", U.SnapshotMB, "MB");
     UsageBefore = processUsage();
     double T0 = nowSeconds();
     RoundTimes T = runRound(In, SnapPath, R, &Log, &L);

@@ -232,6 +232,10 @@ void perfbench::declareLayerMetrics(Result &R) {
       {"herbie.schedule_s", "s"},       {"herbie.measure_s", "s"},
       {"herbie.candidates", "count"},   {"herbie.enodes", "count"},
       {"herbie.unsound_wrong", "count"}, {"trace.overhead_s", "s"},
+      {"pointsto.serial_s", "s"},       {"pointsto.parallel_s", "s"},
+      {"herbie.sound_s", "s"},          {"herbie.unsound_s", "s"},
+      {"herbie.bits_improved", "bits"}, {"snapshot.save_s", "s"},
+      {"snapshot.load_s", "s"},         {"snapshot.mb", "MB"},
   };
   for (const auto &[Name, Unit] : Names)
     R.metric(Name, 0, Unit);

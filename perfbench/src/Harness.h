@@ -40,8 +40,11 @@ struct Settings {
   std::string ScratchDir = ".";
 };
 
-/// How often each workload repeats its set-up; setup_s is the median.
+/// How often each workload repeats its set-up before the rounds, and again
+/// before each round, so that set-up samples the same stretch of time as
+/// the rounds; setup_s is the median of all of them.
 constexpr int SetupRepeats = 21;
+constexpr int SetupPerRound = 5;
 
 /// Seconds on the monotonic clock since an arbitrary fixed origin.
 double nowSeconds();
@@ -207,7 +210,7 @@ void reportProcess(Result &R, const ProcessUsage &Before,
                    const ProcessUsage &After);
 
 // Workload entry points. Each fills \p R; the caller prints it.
-void runPointsToWorkload(const Settings &S, unsigned Threads, Result &R);
+void runPointsToWorkload(const Settings &S, Result &R);
 void runHerbieWorkload(const Settings &S, Result &R);
 void runEqSatWorkload(const Settings &S, Result &R);
 

@@ -2,12 +2,12 @@
 //
 // Part of egglog-cpp's benchmark (see perfbench/README.md).
 //
-// Workloads `pointsto` (1 engine thread) and `pointsto-par` (4 threads):
-// the native egglog Steensgaard encoding over a seeded 30-program suite
-// with postgresSuite's size ladder. Every partition is compared with the
-// union-find oracle, which is itself checked against the sound Datalog
-// encoding (System::Patched) and on hand-sized programs. `pointsto` also
-// runs the known-failing memory-ceiling operation once per round.
+// Workload `pointsto`: the native egglog Steensgaard encoding over a
+// seeded 30-program suite with postgresSuite's size ladder, analysed at 1
+// and then at 4 engine threads in every round. Every partition is compared
+// with the union-find oracle, which is itself checked against the sound
+// Datalog encoding (System::Patched) and on hand-sized programs. Each round
+// also runs the known-failing memory-ceiling operation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +29,13 @@ using namespace egglog::pointsto;
 
 namespace {
 
+/// Engine thread counts of a round: the serial engine, then the thread
+/// pool with parallel match, apply staging and parallel rebuild.
+constexpr unsigned Widths[] = {1, 4};
+constexpr size_t NumWidths = sizeof(Widths) / sizeof(Widths[0]);
+
 /// Suite scale (1.0 = postgresSuite's default sizes), the same at 1 and 4
-/// threads so that the two workloads' total_s compare directly. Larger
+/// threads so that the two passes of a round compare directly. Larger
 /// scales spend a growing share of each round in page faults (~233k per
 /// round at 0.2), whose cost swings with the host's load.
 constexpr double SuiteScale = 0.12;
@@ -279,23 +284,21 @@ void checkOracle(uint64_t Seed, Result &R) {
 
 } // namespace
 
-void perfbench::runPointsToWorkload(const Settings &S, unsigned Threads,
-                                    Result &R) {
-  const bool WithCeiling = Threads == 1;
-
+void perfbench::runPointsToWorkload(const Settings &S, Result &R) {
   // Set-up: generate the inputs and declare the schema and rules.
-  std::vector<double> SetupTimes;
   std::vector<Program> Suite;
-  for (int Rep = 0; Rep < SetupRepeats; ++Rep) {
+  std::vector<double> SetupTimes;
+  auto SetUp = [&] {
     double T0 = nowSeconds();
     Suite = seededSuite(S.Seed, SuiteScale);
     Frontend F;
-    F.engine().setThreads(Threads);
     bool Declared = F.execute(SteensgaardProgram);
     SetupTimes.push_back(nowSeconds() - T0);
-    if (!R.check(Declared, "schema failed to load: " + F.error()))
+    return R.check(Declared, "schema failed to load: " + F.error());
+  };
+  for (int Rep = 0; Rep < SetupRepeats; ++Rep)
+    if (!SetUp())
       return;
-  }
   // The ceiling operation's input does not depend on the seed.
   Program Largest = postgresSuite(SuiteScale).back();
 
@@ -304,44 +307,56 @@ void perfbench::runPointsToWorkload(const Settings &S, unsigned Threads,
   for (const Program &P : Suite)
     Expected.push_back(oraclePartition(P, PointsToSemantics::Steensgaard));
 
-  std::vector<uint64_t> Hashes(Suite.size(), 0);
-  // One untraced pass over the suite: runPointsTo as a black box. Returns
-  // the summed analysis times; \p Wall gets the wall time of the analyses
+  // Content hashes of the first round, per thread count and program.
+  std::vector<uint64_t> Hashes[NumWidths];
+  for (auto &H : Hashes)
+    H.assign(Suite.size(), 0);
+  // One untraced pass over the suite at every thread count: runPointsTo
+  // as a black box, then the ceiling operation. Fills the summed analysis
+  // times per thread count and returns the wall time of the analyses
   // (without the ceiling operation), the base of the tracing overhead.
-  auto UntracedPass = [&](double &Wall) {
-    double Total = 0;
+  auto UntracedPass = [&](double (&Totals)[NumWidths]) {
     double W0 = nowSeconds();
-    for (size_t I = 0; I < Suite.size(); ++I) {
-      AnalysisResult A = runPointsTo(Suite[I], System::Egglog, 0, Threads);
-      R.attempt(!A.TimedOut);
-      Total += A.Seconds;
-      R.check(A.AllocClass == Expected[I],
-              "partition differs from the oracle on " + Suite[I].Name);
-      if (Hashes[I] == 0)
-        Hashes[I] = A.ContentHash;
-      R.check(A.ContentHash == Hashes[I],
-              "content hash changed between rounds on " + Suite[I].Name);
+    for (size_t W = 0; W < NumWidths; ++W) {
+      Totals[W] = 0;
+      for (size_t I = 0; I < Suite.size(); ++I) {
+        AnalysisResult A =
+            runPointsTo(Suite[I], System::Egglog, 0, Widths[W]);
+        R.attempt(!A.TimedOut);
+        Totals[W] += A.Seconds;
+        R.check(A.AllocClass == Expected[I],
+                "partition differs from the oracle on " + Suite[I].Name);
+        if (Hashes[W][I] == 0)
+          Hashes[W][I] = A.ContentHash;
+        R.check(A.ContentHash == Hashes[W][I],
+                "content hash changed between rounds on " + Suite[I].Name);
+      }
     }
-    Wall = nowSeconds() - W0;
-    if (WithCeiling)
-      R.attempt(memoryCeilingHolds(Largest));
-    return Total;
+    double Wall = nowSeconds() - W0;
+    R.attempt(memoryCeilingHolds(Largest));
+    return Wall;
   };
 
   double Start = nowSeconds();
   if (!S.Trace) {
     std::vector<double> Totals;
-    double Wall = 0;
-    while (Totals.empty() || nowSeconds() - Start < S.Seconds)
-      Totals.push_back(UntracedPass(Wall));
+    std::vector<double> Serial;
+    while (Totals.empty() || nowSeconds() - Start < S.Seconds) {
+      for (int Rep = 0; Rep < SetupPerRound; ++Rep)
+        SetUp();
+      double Width[NumWidths];
+      UntracedPass(Width);
+      Serial.push_back(Width[0]);
+      Totals.push_back(Width[0] + Width[1]);
+    }
     R.metric("setup_s", median(SetupTimes), "s");
     R.metric("total_s", median(Totals), "s");
     R.metric("max_rss_mb", processUsage().MaxRssMB, "MB");
     std::fprintf(stderr, "perfbench: %zu rounds, %zu programs, scale %.2f, "
-                 "total_s per round:",
+                 "total_s (1 thread) per round:",
                  Totals.size(), Suite.size(), SuiteScale);
-    for (double T : Totals)
-      std::fprintf(stderr, " %.3f", T);
+    for (size_t I = 0; I < Totals.size(); ++I)
+      std::fprintf(stderr, " %.3f (%.3f)", Totals[I], Serial[I]);
     std::fprintf(stderr, "\n");
     return;
   }
@@ -356,62 +371,68 @@ void perfbench::runPointsToWorkload(const Settings &S, unsigned Threads,
   double ApproxMB = 0;
   ProcessUsage UsageBefore{}, UsageAfter{};
   while (Rounds == 0 || nowSeconds() - Start < S.Seconds) {
-    double Untraced = 0;
-    UntracedPass(Untraced);
+    double Width[NumWidths];
+    double Untraced = UntracedPass(Width);
+    R.add("pointsto.serial_s", Width[0], "s");
+    R.add("pointsto.parallel_s", Width[1], "s");
 
     UsageBefore = processUsage();
     double T0 = nowSeconds();
     uint32_t Round = Log.begin("pointsto.round");
-    for (size_t I = 0; I < Suite.size(); ++I) {
-      ScopedSpan Prog(Log, "pointsto.program");
-      Frontend F;
-      F.engine().setThreads(Threads);
-      EGraph &G = F.graph();
-      PrimitiveProbe Probe;
-      R.check(Probe.install(G), "a primitive changed id when wrapped");
-      double E0 = nowSeconds();
-      {
-        ScopedSpan Span(Log, "frontend.execute");
-        R.check(F.execute(SteensgaardProgram), "schema failed to load");
+    for (size_t W = 0; W < NumWidths; ++W) {
+      ScopedSpan Pass(Log, W == 0 ? "pointsto.serial" : "pointsto.parallel");
+      for (size_t I = 0; I < Suite.size(); ++I) {
+        ScopedSpan Prog(Log, "pointsto.program");
+        Frontend F;
+        F.engine().setThreads(Widths[W]);
+        EGraph &G = F.graph();
+        PrimitiveProbe Probe;
+        R.check(Probe.install(G), "a primitive changed id when wrapped");
+        double E0 = nowSeconds();
+        {
+          ScopedSpan Span(Log, "frontend.execute");
+          R.check(F.execute(SteensgaardProgram), "schema failed to load");
+        }
+        R.add("frontend.execute_s", nowSeconds() - E0, "s");
+        double F0 = nowSeconds();
+        {
+          ScopedSpan Span(Log, "pointsto.facts");
+          loadFacts(G, Suite[I]);
+        }
+        R.add("pointsto.facts_s", nowSeconds() - F0, "s");
+        uint64_t UnionsBefore = G.unionFind().unionCount();
+        RunOptions Opts;
+        Opts.Iterations = 1;
+        for (;;) {
+          ScopedSpan Span(Log, "engine.run");
+          double Run0 = nowSeconds();
+          RunReport Report = F.engine().run(Opts);
+          L.RunSeconds += nowSeconds() - Run0;
+          L.addReport(Report);
+          if (Report.Saturated || Report.TimedOut ||
+              Report.Iterations.empty())
+            break;
+        }
+        R.add("unionfind.unions",
+              static_cast<double>(G.unionFind().unionCount() - UnionsBefore),
+              "count");
+        IndexCache::Stats Idx = G.indexStats();
+        R.add("index.builds", static_cast<double>(Idx.Builds), "count");
+        R.add("index.refreshes", static_cast<double>(Idx.Refreshes), "count");
+        R.add("index.hits", static_cast<double>(Idx.Hits), "count");
+        R.add("index.derivations", static_cast<double>(Idx.Derivations),
+              "count");
+        R.add("table.live_tuples", static_cast<double>(G.liveTupleCount()),
+              "count");
+        ApproxMB = std::max(ApproxMB, G.approxBytes() / 1048576.0);
+        Prims += Probe.totals();
+        R.check(G.liveContentHash() == Hashes[W][I],
+                "traced run reached a different content hash on " +
+                    Suite[I].Name);
+        R.check(enginePartition(G, Suite[I]) == Expected[I],
+                "traced partition differs from the oracle on " +
+                    Suite[I].Name);
       }
-      R.add("frontend.execute_s", nowSeconds() - E0, "s");
-      double F0 = nowSeconds();
-      {
-        ScopedSpan Span(Log, "pointsto.facts");
-        loadFacts(G, Suite[I]);
-      }
-      R.add("pointsto.facts_s", nowSeconds() - F0, "s");
-      uint64_t UnionsBefore = G.unionFind().unionCount();
-      RunOptions Opts;
-      Opts.Iterations = 1;
-      for (;;) {
-        ScopedSpan Span(Log, "engine.run");
-        double Run0 = nowSeconds();
-        RunReport Report = F.engine().run(Opts);
-        L.RunSeconds += nowSeconds() - Run0;
-        L.addReport(Report);
-        if (Report.Saturated || Report.TimedOut || Report.Iterations.empty())
-          break;
-      }
-      R.add("unionfind.unions",
-            static_cast<double>(G.unionFind().unionCount() - UnionsBefore),
-            "count");
-      IndexCache::Stats Idx = G.indexStats();
-      R.add("index.builds", static_cast<double>(Idx.Builds), "count");
-      R.add("index.refreshes", static_cast<double>(Idx.Refreshes), "count");
-      R.add("index.hits", static_cast<double>(Idx.Hits), "count");
-      R.add("index.derivations", static_cast<double>(Idx.Derivations),
-            "count");
-      R.add("table.live_tuples", static_cast<double>(G.liveTupleCount()),
-            "count");
-      ApproxMB = std::max(ApproxMB, G.approxBytes() / 1048576.0);
-      Prims += Probe.totals();
-      R.check(G.liveContentHash() == Hashes[I],
-              "traced run reached a different content hash on " +
-                  Suite[I].Name);
-      R.check(enginePartition(G, Suite[I]) == Expected[I],
-              "traced partition differs from the oracle on " +
-                  Suite[I].Name);
     }
     Log.end(Round);
     UsageAfter = processUsage();
@@ -424,8 +445,7 @@ void perfbench::runPointsToWorkload(const Settings &S, unsigned Threads,
   // The last round's process figures; the largest engine's size.
   reportProcess(R, UsageBefore, UsageAfter);
   R.metric("egraph.approx_mb", ApproxMB, "MB");
-  std::string Path = S.ScratchDir + "/spans-pointsto-t" +
-                     std::to_string(Threads) + ".jsonl";
+  std::string Path = S.ScratchDir + "/spans-pointsto.jsonl";
   R.check(Log.write(Path), "could not write spans to " + Path);
   std::fprintf(stderr, "perfbench: %d traced rounds, %zu spans in %s\n",
                Rounds, Log.size(), Path.c_str());

@@ -2,7 +2,7 @@
 //
 // Part of egglog-cpp's benchmark (see perfbench/README.md).
 //
-// Usage: perfbench --workload <pointsto|pointsto-par|herbie|eqsat>
+// Usage: perfbench --workload <pointsto|herbie|eqsat>
 //                  --seed <n> --seconds <s> --trace <0|1>
 //                  [--scratch <dir>]
 //
@@ -45,9 +45,7 @@ int main(int argc, char **argv) {
 
   Result R;
   if (S.Workload == "pointsto")
-    runPointsToWorkload(S, 1, R);
-  else if (S.Workload == "pointsto-par")
-    runPointsToWorkload(S, 4, R);
+    runPointsToWorkload(S, R);
   else if (S.Workload == "herbie")
     runHerbieWorkload(S, R);
   else if (S.Workload == "eqsat")

@@ -113,7 +113,7 @@ int main(int argc, char **argv) {
   // Totals over every program (timeouts included at their measured cost),
   // for the machine-readable trajectory record.
   double EgglogTotal = 0, EgglogSearch = 0, EgglogApply = 0,
-         EgglogApplyStage = 0, EgglogRebuild = 0, EgglogRebuildGather = 0;
+         EgglogRebuild = 0;
   uint64_t ContentHash = 0;
 
   for (const Program &P : Suite) {
@@ -128,9 +128,7 @@ int main(int argc, char **argv) {
         EgglogTotal += Result.Seconds;
         EgglogSearch += Result.SearchSeconds;
         EgglogApply += Result.ApplySeconds;
-        EgglogApplyStage += Result.ApplyStageSeconds;
         EgglogRebuild += Result.RebuildSeconds;
-        EgglogRebuildGather += Result.RebuildGatherSeconds;
         ContentHash ^= Result.ContentHash;
       }
       if (Result.TimedOut) {
@@ -180,11 +178,10 @@ int main(int argc, char **argv) {
               "\"programs\": %zu, \"timeouts\": %zu, \"threads\": %u, "
               "\"scale\": %.3f, "
               "\"search_s\": %.6f, \"match_s\": %.6f, \"apply_s\": %.6f, "
-              "\"apply_stage_s\": %.6f, \"rebuild_s\": %.6f, "
-              "\"rebuild_gather_s\": %.6f, \"total_s\": %.6f, "
+              "\"rebuild_s\": %.6f, \"total_s\": %.6f, "
               "\"max_rss_mb\": %.1f, \"content_hash\": \"%" PRIx64 "\"}\n",
               Suite.size(), Timeouts[4], Threads, Scale, EgglogSearch,
-              EgglogSearch, EgglogApply, EgglogApplyStage, EgglogRebuild,
-              EgglogRebuildGather, EgglogTotal, maxRssMb(), ContentHash);
+              EgglogSearch, EgglogApply, EgglogRebuild, EgglogTotal,
+              maxRssMb(), ContentHash);
   return 0;
 }

@@ -6,14 +6,10 @@
 
 #include "core/EGraph.h"
 
-#include "core/ApplyStage.h"
 #include "core/Extract.h"
 #include "support/FailPoints.h"
-#include "support/ThreadPool.h"
-#include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 
@@ -422,265 +418,6 @@ unsigned EGraph::rebuildIncremental() {
         Rewritten[F] = true;
       if (!Ok)
         return Passes;
-    }
-  }
-  UnionsDirty = false;
-  sweepRewrittenIndexes(Rewritten);
-  return Passes;
-}
-
-unsigned EGraph::rebuildParallel(ThreadPool &Pool, double *GatherSeconds) {
-  if (ForceFullRebuild)
-    return rebuildFullSweep();
-  if (Pool.threads() <= 1)
-    return rebuildIncremental();
-  return rebuildIncrementalParallel(Pool, GatherSeconds);
-}
-
-unsigned EGraph::rebuildIncrementalParallel(ThreadPool &Pool,
-                                            double *GatherSeconds) {
-  unsigned Passes = 0;
-  std::vector<uint64_t> Dirty;
-  std::vector<uint32_t> Rows;
-  std::vector<Value> Buffer;
-  std::vector<bool> Rewritten(Functions.size(), false);
-
-  /// One table's frozen gather: the rows the serial pass would visit, in
-  /// its exact visit order, with the frozen canonical image of each stale
-  /// row. Mode mirrors the serial heuristic's three outcomes.
-  struct TableGather {
-    enum class Mode : uint8_t { Untouched, PerId, Sweep } VisitMode =
-        Mode::Untouched;
-    bool Eligible = false;
-    uint64_t VersionAtFreeze = 0;
-    std::vector<uint32_t> VisitRows;
-    /// Per visited row: UINT32_MAX if the row was canonical at the freeze,
-    /// else the offset of its image in Images.
-    std::vector<uint32_t> VisitImage;
-    std::vector<Value> Images;
-  };
-  std::vector<TableGather> Gathers(Functions.size());
-
-  // Same fixpoint as rebuildIncremental, but each pass front-loads two
-  // read-only parallel phases — per-table occurrence catch-up and the
-  // frozen-image gather — before the serial mutation tail.
-  while (!Failed) {
-    UF.takeDirty(Dirty);
-    if (Dirty.empty())
-      break;
-    ++Passes;
-    Timer Gather;
-
-    // Occurrence catch-up, one table per work item (each table's index is
-    // independent). The serial pass pays this lazily inside
-    // occurrenceCount/takeOccurrences; hoisting it here is what lets the
-    // gather below walk the chains read-only.
-    std::vector<size_t> CatchUp;
-    for (size_t F = 0; F < Functions.size(); ++F)
-      if (Functions[F]->Storage->trackingOccurrences())
-        CatchUp.push_back(F);
-    Pool.parallelFor(
-        CatchUp.size(),
-        [&](size_t K) {
-          EGGLOG_FAILPOINT("rebuild.occurrence");
-          Functions[CatchUp[K]]->Storage->warmOccurrences();
-        },
-        "rebuild.catchup");
-
-    // Gather: per eligible table, evaluate the sweep heuristic at the
-    // frozen state and record the serial visit order with frozen canonical
-    // images. Valid for the tail only while the table's version is
-    // untouched — the version check re-validates both the heuristic inputs
-    // (liveCount, chains) and the row set itself.
-    std::atomic<bool> GatherStop{false};
-    std::vector<size_t> GatherTables;
-    for (size_t F = 0; F < Functions.size(); ++F) {
-      FunctionInfo &Info = *Functions[F];
-      Table &T = *Info.Storage;
-      TableGather &TG = Gathers[F];
-      TG.Eligible = false;
-      TG.VisitMode = TableGather::Mode::Untouched;
-      TG.VisitRows.clear();
-      TG.VisitImage.clear();
-      TG.Images.clear();
-      // Container columns need the (mutating) set interner to
-      // canonicalize; those tables take the serial fallback.
-      if (Info.NeedsFullSweep || !T.trackingOccurrences())
-        continue;
-      TG.Eligible = true;
-      TG.VersionAtFreeze = T.version();
-      GatherTables.push_back(F);
-    }
-    Pool.parallelFor(
-        GatherTables.size(),
-        [&](size_t K) {
-          size_t F = GatherTables[K];
-          const Table &T = *Functions[F]->Storage;
-          TableGather &TG = Gathers[F];
-          unsigned Width = T.rowWidth();
-          bool Sweep = Dirty.size() * 4 > T.liveCount();
-          if (!Sweep) {
-            size_t Affected = T.occurrenceCountReadOnly(Dirty);
-            if (Affected == 0)
-              return; // serial would skip without touching the chains
-            Sweep = Affected * 4 > T.liveCount();
-          }
-          TG.VisitMode =
-              Sweep ? TableGather::Mode::Sweep : TableGather::Mode::PerId;
-          uint32_t PollTick = 0;
-          std::vector<Value> Image(Width);
-          // The gather phase is read-only, so the column base pointers are
-          // stable for its whole duration: per-cell reads are direct
-          // column-array loads.
-          std::vector<const Value *> Cols(Width);
-          for (unsigned I = 0; I < Width; ++I)
-            Cols[I] = T.column(I);
-          auto Visit = [&](size_t Row) {
-            EGGLOG_FAILPOINT("rebuild.occurrence");
-            if ((PollTick++ & 63) == 0 &&
-                Gov.pollQuick() != GovernorVerdict::Ok) {
-              GatherStop.store(true, std::memory_order_relaxed);
-              return false;
-            }
-            bool Stale = false;
-            for (unsigned I = 0; I < Width; ++I) {
-              Value Cell = Cols[I][Row];
-              Value V = Cell;
-              // findReadOnly never writes; eligible tables hold no
-              // container cells reaching ids, so canonicalization is the
-              // union-find lookup alone.
-              if (SortsTable.kind(V.Sort) == SortKind::User)
-                V = Value(V.Sort, UF.findReadOnly(V.Bits));
-              Image[I] = V;
-              Stale |= V != Cell;
-            }
-            TG.VisitRows.push_back(static_cast<uint32_t>(Row));
-            if (!Stale) {
-              TG.VisitImage.push_back(UINT32_MAX);
-            } else {
-              TG.VisitImage.push_back(
-                  static_cast<uint32_t>(TG.Images.size()));
-              TG.Images.insert(TG.Images.end(), Image.begin(), Image.end());
-            }
-            return true;
-          };
-          if (Sweep) {
-            size_t Limit = T.rowCount();
-            for (size_t Row = 0; Row < Limit; ++Row) {
-              if (!T.isLive(Row))
-                continue;
-              if (!Visit(Row))
-                return;
-            }
-          } else {
-            std::vector<uint32_t> ChainRows;
-            for (uint64_t Id : Dirty) {
-              ChainRows.clear();
-              T.readOccurrences(Id, ChainRows);
-              for (uint32_t Row : ChainRows)
-                if (!Visit(Row))
-                  return;
-            }
-          }
-        },
-        "rebuild.gather");
-    if (GatherSeconds)
-      *GatherSeconds += Gather.seconds();
-
-    if (GatherStop.load(std::memory_order_relaxed)) {
-      // A quick-poll trip mid-gather: the full poll reports the error and
-      // the pass stops exactly like a refused serial checkpoint. (The
-      // full poll subsumes the quick checks, so the defensive fallback —
-      // dropping every gather and going serial — should be unreachable.)
-      if (governorTripped())
-        return Passes;
-      for (TableGather &TG : Gathers)
-        TG.Eligible = false;
-    }
-
-    // Serial mutation tail, tables in declaration order. An id staged as
-    // canonical in a frozen image stays canonical until it loses a unite,
-    // which appends it to the union-find's pending dirty list — the
-    // cursor PassDirty keeps over that list is what re-validates frozen
-    // images against the tail's own merges.
-    PhaseDirty PassDirty(UF);
-    for (size_t F = 0; F < Functions.size(); ++F) {
-      FunctionId Func = static_cast<FunctionId>(F);
-      FunctionInfo &Info = *Functions[F];
-      Table &T = *Info.Storage;
-      TableGather &TG = Gathers[F];
-      bool TableRewritten = false;
-      bool UseGather = TG.Eligible && T.version() == TG.VersionAtFreeze;
-      if (!UseGather) {
-        // Earlier tables' merge expressions touched this table (or it was
-        // never gathered): recompute everything at the current state, on
-        // the exact serial path.
-        bool Ok = rebuildTableIncremental(Func, Dirty, Rows, Buffer,
-                                          TableRewritten);
-        if (TableRewritten)
-          Rewritten[F] = true;
-        if (!Ok)
-          return Passes;
-        continue;
-      }
-      if (TG.VisitMode == TableGather::Mode::Untouched)
-        continue; // no dirty id reaches this table; serial skips it too
-      unsigned Width = T.rowWidth();
-      for (size_t V = 0; V < TG.VisitRows.size(); ++V) {
-        size_t Row = TG.VisitRows[V];
-        // Rows visited live at the freeze can die during the tail (an
-        // earlier dirty id's rewrite, or a key collision); the serial
-        // drain skips those at the same point.
-        if (!T.isLive(Row))
-          continue;
-        if (!governorCheckpoint("rebuild.row")) {
-          if (TableRewritten)
-            Rewritten[F] = true;
-          return Passes;
-        }
-        PassDirty.absorb();
-        uint32_t Img = TG.VisitImage[V];
-        // The tail mutates tables (appends can reallocate columns), so
-        // rows without a frozen image are read cell-by-cell, not through a
-        // cached pointer.
-        const Value *ImageCells =
-            Img == UINT32_MAX ? nullptr : TG.Images.data() + Img;
-        bool CellDirty = false;
-        for (unsigned I = 0; I < Width; ++I) {
-          Value C = ImageCells ? ImageCells[I] : T.cell(Row, I);
-          if (SortsTable.kind(C.Sort) == SortKind::User &&
-              PassDirty.dirty(C.Bits)) {
-            CellDirty = true;
-            break;
-          }
-        }
-        if (CellDirty) {
-          // A frozen-image id lost a unite since the freeze: the image is
-          // stale, recompute at the current state (serial-exact).
-          if (!rewriteRow(Func, Row, Buffer, TableRewritten)) {
-            if (TableRewritten)
-              Rewritten[F] = true;
-            return Passes;
-          }
-          continue;
-        }
-        if (Img == UINT32_MAX)
-          continue; // canonical at the freeze and untouched since
-        // Stale at the freeze with a still-valid image: exactly
-        // rewriteRow's mutation, minus recomputing the canonicalization.
-        T.eraseRow(Row);
-        TableRewritten = true;
-        if (!setValue(Func, ImageCells, ImageCells[Width - 1])) {
-          Rewritten[F] = true;
-          return Passes;
-        }
-      }
-      // Detach the consumed chains as the serial drain does (sweep mode
-      // drops them up front; per-id mode detaches inside takeOccurrences).
-      for (uint64_t Id : Dirty)
-        T.dropOccurrences(Id);
-      if (TableRewritten)
-        Rewritten[F] = true;
     }
   }
   UnionsDirty = false;

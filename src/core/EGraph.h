@@ -34,7 +34,6 @@
 namespace egglog {
 
 class ExtractIndex;
-class ThreadPool;
 
 /// Declaration payload for a new egglog function.
 struct FunctionDecl {
@@ -198,17 +197,6 @@ public:
   /// columns hide ids from the occurrence index). Returns the number of
   /// worklist passes (0 when nothing was dirty).
   unsigned rebuild();
-
-  /// rebuild() with the occurrence catch-up and the read-only gather of
-  /// frozen canonical row images fanned out over \p Pool, one table per
-  /// work item; the mutating fixpoint join stays a serial tail that
-  /// validates each table's gather (version unchanged since the freeze)
-  /// and falls back to the exact serial per-table path otherwise, so the
-  /// result is bit-identical to rebuild() at any thread count. A pool of
-  /// one thread (or a forced full rebuild) takes the serial code path
-  /// outright. \p GatherSeconds, if given, accumulates the wall-clock of
-  /// the parallel phases across passes.
-  unsigned rebuildParallel(ThreadPool &Pool, double *GatherSeconds = nullptr);
 
   /// Forces rebuild() onto the legacy full-sweep algorithm (every live row
   /// of every table re-canonicalized per pass). Ablation and differential
@@ -456,14 +444,9 @@ private:
   unsigned rebuildIncremental();
   unsigned rebuildFullSweep();
 
-  /// The parallel variant behind rebuildParallel().
-  unsigned rebuildIncrementalParallel(ThreadPool &Pool,
-                                      double *GatherSeconds);
-
   /// One table's share of an incremental rebuild pass: the sweep
   /// heuristic, the per-id occurrence drain (or full sweep), and the row
-  /// rewrites. Shared by the serial pass loop and the parallel tail's
-  /// fallback. Returns false when the pass must stop (governor checkpoint
+  /// rewrites. Returns false when the pass must stop (governor checkpoint
   /// refused or merge failure); \p TableRewritten is set if any row of
   /// this table was rewritten either way.
   bool rebuildTableIncremental(FunctionId Func,

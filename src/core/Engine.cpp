@@ -6,7 +6,6 @@
 
 #include "core/Engine.h"
 
-#include "core/ApplyStage.h"
 #include "core/Query.h"
 #include "support/FailPoints.h"
 #include "support/ThreadPool.h"
@@ -15,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <optional>
 #include <thread>
 
 using namespace egglog;
@@ -78,8 +76,6 @@ void Engine::ensureVariantExecutors() {
   VariantExecutors.reserve(Rules.size());
   RuleParallelSafe.clear();
   RuleParallelSafe.reserve(Rules.size());
-  RuleStageSafe.clear();
-  RuleStageSafe.reserve(Rules.size());
   for (const Rule &R : Rules) {
     // One context per semi-naïve delta variant; slot 0 doubles as the
     // non-incremental (full) context, so a rule always has at least one.
@@ -90,7 +86,6 @@ void Engine::ensureVariantExecutors() {
       Variants.push_back(std::make_unique<QueryExecutor>(Graph, R.Body));
     VariantExecutors.push_back(std::move(Variants));
     RuleParallelSafe.push_back(queryIsParallelSafe(Graph, R.Body));
-    RuleStageSafe.push_back(actionsAreStageSafe(Graph, R));
   }
 }
 
@@ -192,12 +187,8 @@ RunReport Engine::run(const RunOptions &Options) {
 
   // Top-level unions between runs leave the database non-canonical; queries
   // require canonical form.
-  if (Graph.needsRebuild()) {
-    if (Parallel)
-      Graph.rebuildParallel(*Pool);
-    else
-      Graph.rebuild();
-  }
+  if (Graph.needsRebuild())
+    Graph.rebuild();
   if (Graph.failed()) {
     Report.TotalSeconds = Total.seconds();
     return Report;
@@ -414,8 +405,7 @@ RunReport Engine::run(const RunOptions &Options) {
           ParallelItems.size(),
           [&](size_t K) {
             RunItem(Items[ParallelItems[K]], /*ReadOnlyPath=*/true);
-          },
-          "match");
+          });
 
       if (TimedOutNow()) {
         SearchTimedOut = true;
@@ -473,71 +463,12 @@ RunReport Engine::run(const RunOptions &Options) {
     //=== chunk in the deterministic (rule, variant, match) order. =========
     Phase.reset();
     Graph.bumpTimestamp();
-    std::vector<char> UseStaged(Chunks.size(), 0);
-    std::vector<StagedChunk> Staged;
-    if (Parallel) {
-      //--- Stage: fan the read-only half of apply out over the pool. -----
-      // Each stage-safe chunk's action walking, primitive evaluation, and
-      // frozen table probes run concurrently, emitting an op list the
-      // serial tail below replays; the database itself is untouched until
-      // that tail (see core/ApplyStage.h for the determinism argument).
-      Staged.resize(Chunks.size());
-      std::vector<size_t> StageItems;
-      for (size_t C = 0; C < Chunks.size(); ++C)
-        if (RuleStageSafe[Chunks[C].Rule] && Chunks[C].Count > 0)
-          StageItems.push_back(C);
-      std::atomic<bool> StageStop{false};
-      Pool->parallelFor(
-          StageItems.size(),
-          [&](size_t K) {
-            size_t C = StageItems[K];
-            MatchChunk &Chunk = Chunks[C];
-            std::function<bool()> Cancel = [&] {
-              EGGLOG_FAILPOINT("apply.partition");
-              if (StageStop.load(std::memory_order_relaxed))
-                return true;
-              if (Gov.pollQuick() != GovernorVerdict::Ok) {
-                StageStop.store(true, std::memory_order_relaxed);
-                return true;
-              }
-              return false;
-            };
-            UseStaged[C] =
-                stageChunkActions(Graph, Rules[Chunk.Rule],
-                                  Chunk.Arena.data(), Chunk.Count,
-                                  Staged[C], &Cancel);
-          },
-          "apply.stage");
-      Stats.ApplyStageSeconds = Phase.seconds();
-      if (Graph.governorTripped()) {
-        Report.Iterations.push_back(Stats);
-        Report.TotalSeconds = Total.seconds();
-        return Report;
-      }
-    }
-    //--- Serial tail: the only phase that mutates the database. ----------
-    // Chunks drain in the same order either way; a staged chunk replays
-    // its op list (validating every frozen probe against the unions done
-    // since the freeze), the rest run the classic per-match loop at their
-    // position. Thread count therefore cannot change mutation order.
-    // (The dirty tracker's bitmap is sized to the union-find, so serial
-    // mode — which never consults it — skips building one.)
-    std::optional<PhaseDirty> ApplyDirty;
-    if (Parallel)
-      ApplyDirty.emplace(Graph.unionFind());
-    std::vector<Value> Env, Resolved, Scratch;
-    for (size_t C = 0; C < Chunks.size(); ++C) {
-      MatchChunk &Chunk = Chunks[C];
+    // The only phase that mutates the database. Chunks drain in the same
+    // order at every thread count, so mutation order — and with it every
+    // fresh id — cannot depend on the width of the match fan-out.
+    std::vector<Value> Env;
+    for (MatchChunk &Chunk : Chunks) {
       const Rule &TheRule = Rules[Chunk.Rule];
-      if (UseStaged[C]) {
-        if (!drainStagedChunk(Graph, Staged[C], *ApplyDirty, Resolved,
-                              Scratch)) {
-          Report.Iterations.push_back(Stats);
-          Report.TotalSeconds = Total.seconds();
-          return Report;
-        }
-        continue;
-      }
       size_t Stride = TheRule.Body.NumVars;
       for (size_t M = 0; M < Chunk.Count; ++M) {
         if (!Graph.governorCheckpoint("apply.match")) {
@@ -564,9 +495,7 @@ RunReport Engine::run(const RunOptions &Options) {
 
     //=== Rebuild phase: restore congruence and canonical form. ============
     Phase.reset();
-    Stats.RebuildPasses =
-        Parallel ? Graph.rebuildParallel(*Pool, &Stats.RebuildGatherSeconds)
-                 : Graph.rebuild();
+    Stats.RebuildPasses = Graph.rebuild();
     Stats.RebuildSeconds = Phase.seconds();
     if (Graph.failed()) {
       Report.Iterations.push_back(Stats);
@@ -834,7 +763,6 @@ void Engine::restore(const Snapshot &S) {
   Executors.clear();
   VariantExecutors.clear();
   RuleParallelSafe.clear();
-  RuleStageSafe.clear();
   Rules.resize(S.NumRules);
   States = S.States;
   for (size_t Id = RulesetNames.size(); Id > S.NumRulesets; --Id)

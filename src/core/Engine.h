@@ -71,17 +71,15 @@ struct IterationStats {
   /// with the single-threaded loop, where the same cache refreshes happen
   /// inline); WarmSeconds below breaks out the warm-up share.
   double SearchSeconds = 0;
-  /// Whole apply phase (staging plus the serial mutation tail in parallel
-  /// mode; the classic loop when single-threaded).
+  /// Whole apply phase, serial at every thread count.
   double ApplySeconds = 0;
-  /// Parallel mode only: the read-only staging share of ApplySeconds
-  /// (fanned-out action walking, primitive evaluation, and frozen table
-  /// probes). Always 0 single-threaded.
+  /// Always 0: apply has no parallel staging share. Kept only because
+  /// perfbench/src/Harness.cpp still reads it.
   double ApplyStageSeconds = 0;
+  /// Whole rebuild phase, serial at every thread count.
   double RebuildSeconds = 0;
-  /// Parallel mode only: the read-only share of RebuildSeconds (per-table
-  /// occurrence catch-up plus the frozen canonical-image gather). Always 0
-  /// single-threaded.
+  /// Always 0: rebuild has no parallel gather share. Kept only because
+  /// perfbench/src/Harness.cpp still reads it.
   double RebuildGatherSeconds = 0;
   /// Warm-up pre-pass of the phase-separated pipeline (index cache
   /// refresh, occurrence catch-up, constant canonicalization); always 0
@@ -220,10 +218,6 @@ private:
   /// read-only parallel path (cannot intern values or canonicalize);
   /// unsafe rules are matched serially before the fan-out.
   std::vector<char> RuleParallelSafe;
-  /// Per rule: true if its actions can be staged read-only for the
-  /// parallel apply phase (see core/ApplyStage.h); unsafe rules apply
-  /// through the classic serial loop at their chunk's position.
-  std::vector<char> RuleStageSafe;
 
   /// (Re)creates VariantExecutors/RuleParallelSafe for the current rules.
   void ensureVariantExecutors();

@@ -640,9 +640,7 @@ void Frontend::accumulatePhaseTotals() {
     Totals.WarmSeconds += Stats.WarmSeconds;
     Totals.SearchSeconds += Stats.SearchSeconds;
     Totals.ApplySeconds += Stats.ApplySeconds;
-    Totals.ApplyStageSeconds += Stats.ApplyStageSeconds;
     Totals.RebuildSeconds += Stats.RebuildSeconds;
-    Totals.RebuildGatherSeconds += Stats.RebuildGatherSeconds;
   }
 }
 

@@ -190,33 +190,6 @@ public:
       OccHead[IdBits] = -1;
   }
 
-  /// Read-only variant of takeOccurrences: appends the live rows of the
-  /// chain without catching up or detaching it. The parallel rebuild's
-  /// gather phase walks chains with this (the index must already be caught
-  /// up via warmOccurrences); the serial mutation tail detaches the
-  /// consumed chains afterwards with dropOccurrences.
-  void readOccurrences(uint64_t IdBits, std::vector<uint32_t> &Out) const {
-    if (IdBits >= OccHead.size())
-      return;
-    for (int32_t Node = OccHead[IdBits]; Node >= 0; Node = OccPool[Node].Next)
-      if (Live[OccPool[Node].Row])
-        Out.push_back(OccPool[Node].Row);
-  }
-
-  /// Read-only variant of occurrenceCount (no catch-up; the index must be
-  /// up to date via warmOccurrences). Counts chain nodes including dead
-  /// rows, matching the over-count the sweep heuristic is calibrated for.
-  size_t occurrenceCountReadOnly(const std::vector<uint64_t> &Ids) const {
-    size_t Count = 0;
-    for (uint64_t Id : Ids) {
-      if (Id >= OccHead.size())
-        continue;
-      for (int32_t Node = OccHead[Id]; Node >= 0; Node = OccPool[Node].Next)
-        ++Count;
-    }
-    return Count;
-  }
-
   /// The value at (row, column). Columns are the NumKeys key positions
   /// then the output at index NumKeys.
   Value cell(size_t Row, unsigned Col) const { return Columns[Col][Row]; }

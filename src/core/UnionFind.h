@@ -63,19 +63,6 @@ public:
   /// Returns true if the two ids are currently equivalent.
   bool congruent(uint64_t A, uint64_t B) const { return find(A) == find(B); }
 
-  /// find() without path compression (and therefore without journaling):
-  /// chases parent pointers but never writes, so any number of concurrent
-  /// readers may call it while no thread mutates the structure. The
-  /// engine's parallel apply-staging and rebuild-gather phases use this to
-  /// canonicalize against the frozen relation; the serial tails that
-  /// follow use the compressing find().
-  uint64_t findReadOnly(uint64_t Id) const {
-    assert(Id < Parents.size() && "find of unknown id");
-    while (Parents[Id] != Id)
-      Id = Parents[Id];
-    return Id;
-  }
-
   /// Unions the classes of \p A and \p B; returns the canonical id of the
   /// merged class (the smaller of the two roots). Increments the union
   /// counter only if the classes were distinct.
@@ -122,14 +109,6 @@ public:
   /// Discards the pending dirty list (used after a full-sweep rebuild,
   /// which restores canonicity without consulting it).
   void clearDirty() { Dirty.clear(); }
-
-  /// The losing roots accumulated since the last takeDirty(), in merge
-  /// order, without draining them. The engine's deterministic parallel
-  /// phases keep a cursor into this list: an id staged as canonical under
-  /// the frozen relation is still canonical at replay time iff it has not
-  /// appeared here since the freeze (a root only stops being canonical by
-  /// losing a unite, which appends it exactly once).
-  const std::vector<uint64_t> &pendingDirty() const { return Dirty; }
 
   /// Append-only log of every losing root in merge order (never drained;
   /// truncated only by restore). Incremental readers keep an offset.

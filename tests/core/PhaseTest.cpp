@@ -412,47 +412,7 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
     EXPECT_EQ(Order[I], I); // inline mode preserves index order
 }
 
-TEST(ThreadPoolTest, TracksItemTalliesPerTag) {
-  ThreadPool Pool(4);
-  Pool.parallelFor(10, [](size_t) {}, "alpha");
-  Pool.parallelFor(5, [](size_t) {}, "beta");
-  Pool.parallelFor(7, [](size_t) {}, "alpha");
-  Pool.parallelFor(9, [](size_t) {}); // untagged jobs are not tallied
-  EXPECT_EQ(Pool.itemsForTag("alpha"), 17u);
-  EXPECT_EQ(Pool.itemsForTag("beta"), 5u);
-  EXPECT_EQ(Pool.itemsForTag("gamma"), 0u);
-  // The inline path (1 worker or 1 item) tallies too.
-  ThreadPool Inline(1);
-  Inline.parallelFor(3, [](size_t) {}, "alpha");
-  EXPECT_EQ(Inline.itemsForTag("alpha"), 3u);
-  Pool.parallelFor(1, [](size_t) {}, "beta");
-  EXPECT_EQ(Pool.itemsForTag("beta"), 6u);
-}
-
 #if EGGLOG_FAILPOINTS_ENABLED
-
-TEST(PhaseDeterminismTest, ParallelApplyAndRebuildPhasesEngage) {
-  // Guard against silent fallback: the determinism tests above would pass
-  // even if staging/gathering never ran (the classic loops are always
-  // correct). Count the failpoint sites inside the parallel loops —
-  // arm(site, 0) tallies hits without ever firing — to prove a 4-thread
-  // run actually stages apply work and gathers rebuild work.
-  struct Disarm {
-    ~Disarm() { failpoints::disarm(); }
-  } Guard;
-  Frontend F;
-  ASSERT_TRUE(F.execute(DeterminismProgram)) << F.error();
-  ASSERT_TRUE(F.execute("(edge 0 1) (edge 1 2) (edge 2 3) (edge 3 0)"))
-      << F.error();
-  F.engine().setThreads(4);
-  failpoints::arm("apply.partition", 0);
-  ASSERT_TRUE(F.execute("(run 3)")) << F.error();
-  EXPECT_GT(failpoints::hits(), 0u) << "no apply chunk was ever staged";
-  failpoints::arm("rebuild.occurrence", 0);
-  ASSERT_TRUE(F.execute("(union (Leaf 100) (Leaf 101)) (run 1)"))
-      << F.error();
-  EXPECT_GT(failpoints::hits(), 0u) << "no parallel rebuild pass ran";
-}
 
 TEST(PhaseDeterminismTest, InjectedFaultMidRunRollsBackAtFourThreads) {
   // A fault injected anywhere inside a 4-thread (run) — match steps,

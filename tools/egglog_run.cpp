@@ -100,12 +100,11 @@ void dumpStats(Frontend &F) {
   std::fprintf(stderr,
                "phase stats: threads %u, iterations %zu, matches %zu\n"
                "  match   %9.6fs (warm-up %9.6fs)\n"
-               "  apply   %9.6fs (staged  %9.6fs)\n"
-               "  rebuild %9.6fs (gather  %9.6fs)\n",
+               "  apply   %9.6fs\n"
+               "  rebuild %9.6fs\n",
                F.engine().threads(), T.Iterations, T.Matches,
                T.SearchSeconds, T.WarmSeconds, T.ApplySeconds,
-               T.ApplyStageSeconds, T.RebuildSeconds,
-               T.RebuildGatherSeconds);
+               T.RebuildSeconds);
 }
 
 /// --extract: the extraction cache's maintenance counters as a single-line

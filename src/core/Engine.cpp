@@ -208,6 +208,20 @@ RunReport Engine::run(const RunOptions &Options) {
     HasContentHash = false;
 
   const ResourceGovernor &Gov = Graph.governor();
+  // Match arenas drained by earlier iterations of this run, cleared but
+  // with their capacity kept. An arena grows by doubling to megabytes;
+  // allocated afresh every iteration, that memory is mapped, faulted in
+  // and unmapped each time, and those page faults were the match phase's
+  // most load-sensitive cost.
+  std::vector<std::vector<Value>> SpareArenas;
+  auto TakeArena = [&SpareArenas] {
+    std::vector<Value> Arena;
+    if (!SpareArenas.empty()) {
+      Arena = std::move(SpareArenas.back());
+      SpareArenas.pop_back();
+    }
+    return Arena;
+  };
   for (unsigned Iter = 0; Iter < Options.Iterations; ++Iter) {
     ++GlobalIteration;
     IterationStats Stats;
@@ -262,6 +276,7 @@ RunReport Engine::run(const RunOptions &Options) {
         Chunks.emplace_back();
         MatchChunk &Chunk = Chunks.back();
         Chunk.Rule = R;
+        Chunk.Arena = TakeArena();
 
         uint64_t Threshold = RuleThreshold(R);
         std::function<bool()> Cancel = [&] {
@@ -337,6 +352,7 @@ RunReport Engine::run(const RunOptions &Options) {
         for (size_t V = 0; V < NumVariants; ++V) {
           WorkItem Item;
           Item.Rule = R;
+          Item.Arena = TakeArena();
           Item.Exec = VariantExecutors[R][V].get();
           if (Incremental) {
             Item.Bound = State.DeltaStart;
@@ -492,6 +508,12 @@ RunReport Engine::run(const RunOptions &Options) {
       }
     }
     Stats.ApplySeconds = Phase.seconds();
+    // Reversed, so that the next iteration hands each rule back the arena
+    // it filled in this one.
+    for (auto It = Chunks.rbegin(); It != Chunks.rend(); ++It) {
+      It->Arena.clear();
+      SpareArenas.push_back(std::move(It->Arena));
+    }
 
     //=== Rebuild phase: restore congruence and canonical form. ============
     Phase.reset();
